@@ -30,7 +30,12 @@ pub struct Projection {
     pub spec: AtomicitySpec,
     /// `kept[new]` = original id of projected transaction `new`.
     kept: Vec<TxnId>,
+    /// `new_of[orig]` = projected index of original transaction `orig`,
+    /// or `DROPPED`; the inverse of `kept`, for O(1) `from_original`.
+    new_of: Vec<u32>,
 }
+
+const DROPPED: u32 = u32::MAX;
 
 impl Projection {
     /// Projects onto `keep` (original ids, any order — the order becomes
@@ -53,27 +58,16 @@ impl Projection {
                 .collect();
             sub.add(&pairs)?;
         }
-        let mut sub_spec = AtomicitySpec::absolute(&sub);
-        for (new_i, &old_i) in keep.iter().enumerate() {
-            for (new_j, &old_j) in keep.iter().enumerate() {
-                if new_i == new_j {
-                    continue;
-                }
-                // Original unit structure of T_i as seen by T_j, with
-                // breakpoints beyond the truncated length dropped.
-                let bps: Vec<u32> = spec
-                    .breakpoints(old_i, old_j)
-                    .iter()
-                    .copied()
-                    .filter(|&b| b < lens[new_i])
-                    .collect();
-                sub_spec.set_breakpoints(TxnId(new_i as u32), TxnId(new_j as u32), &bps)?;
-            }
+        let mut new_of = vec![DROPPED; txns.len()];
+        // Reversed, so a transaction kept twice maps to its first position.
+        for (new, &t) in keep.iter().enumerate().rev() {
+            new_of[t.index()] = new as u32;
         }
         Ok(Projection {
             txns: sub,
-            spec: sub_spec,
+            spec: spec.restrict(keep, lens),
             kept: keep.to_vec(),
+            new_of,
         })
     }
 
@@ -91,8 +85,11 @@ impl Projection {
     /// Maps an original-universe operation into the projection. `None`
     /// if its transaction was dropped or the operation truncated away.
     pub fn from_original(&self, op: OpId) -> Option<OpId> {
-        let new = self.kept.iter().position(|&t| t == op.txn)?;
-        let new_txn = TxnId(new as u32);
+        let new = *self.new_of.get(op.txn.index())?;
+        if new == DROPPED {
+            return None;
+        }
+        let new_txn = TxnId(new);
         (op.index < self.txns.txn(new_txn).len() as u32).then(|| OpId::new(new_txn, op.index))
     }
 
@@ -140,6 +137,97 @@ mod tests {
         let p = Projection::new(&fig.txns, &fig.spec, &[TxnId(0), TxnId(2)], &[2, 3]).unwrap();
         assert_eq!(p.txns.txn(TxnId(0)).len(), 2);
         assert_eq!(p.spec.breakpoints(TxnId(0), TxnId(1)), &[] as &[u32]);
+    }
+
+    /// The per-pair formulation `Projection::new` replaced: an absolute
+    /// spec over the sub-universe with every pair's filtered list set.
+    fn naive_projected_spec(
+        sub: &TxnSet,
+        spec: &AtomicitySpec,
+        keep: &[TxnId],
+        lens: &[u32],
+    ) -> AtomicitySpec {
+        let mut out = AtomicitySpec::absolute(sub);
+        for (new_i, &old_i) in keep.iter().enumerate() {
+            for (new_j, &old_j) in keep.iter().enumerate() {
+                if new_i != new_j {
+                    let bps: Vec<u32> = spec
+                        .breakpoints(old_i, old_j)
+                        .iter()
+                        .copied()
+                        .filter(|&b| b < lens[new_i])
+                        .collect();
+                    out.set_breakpoints(TxnId(new_i as u32), TxnId(new_j as u32), &bps)
+                        .unwrap();
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn projected_spec_matches_the_per_pair_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(2..9usize);
+            let srcs: Vec<String> = (1..=n)
+                .map(|t| {
+                    let len = rng.random_range(1..6usize);
+                    (0..len)
+                        .map(|k| format!("{}{t}[o{}]", ['r', 'w'][k % 2], k % 3))
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                })
+                .collect();
+            let refs: Vec<&str> = srcs.iter().map(String::as_str).collect();
+            let txns = TxnSet::parse(&refs).unwrap();
+            let mut spec = AtomicitySpec::absolute(&txns);
+            for i in txns.txn_ids() {
+                for j in txns.txn_ids().filter(|&j| j != i) {
+                    let bps: Vec<u32> = (1..txns.txn(i).len() as u32)
+                        .filter(|_| rng.random_bool(0.5))
+                        .collect();
+                    spec.set_breakpoints(i, j, &bps).unwrap();
+                }
+            }
+            let mut keep: Vec<TxnId> = txns.txn_ids().filter(|_| rng.random_bool(0.7)).collect();
+            keep.reverse();
+            for truncate in [false, true] {
+                let lens: Vec<u32> = keep
+                    .iter()
+                    .map(|&t| {
+                        let len = txns.txn(t).len() as u32;
+                        if truncate {
+                            rng.random_range(1..len + 1)
+                        } else {
+                            len
+                        }
+                    })
+                    .collect();
+                let p = Projection::new(&txns, &spec, &keep, &lens).unwrap();
+                let want = naive_projected_spec(&p.txns, &spec, &keep, &lens);
+                for i in p.txns.txn_ids() {
+                    for j in p.txns.txn_ids().filter(|&j| j != i) {
+                        assert_eq!(
+                            p.spec.breakpoints(i, j),
+                            want.breakpoints(i, j),
+                            "seed {seed}, truncate {truncate}, pair ({i}, {j})"
+                        );
+                    }
+                }
+                assert_eq!(p.spec, want, "seed {seed}, truncate {truncate}");
+                for t in txns.txn_ids() {
+                    let op = OpId::new(t, 0);
+                    let want = keep
+                        .iter()
+                        .position(|&k| k == t)
+                        .map(|new| OpId::new(TxnId(new as u32), 0));
+                    assert_eq!(p.from_original(op), want);
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,21 +15,151 @@
 //! [`AtomicitySpec::push_forward`] and [`AtomicitySpec::pull_backward`] are
 //! the paper's §3 `PushForward(o, T_k)` / `PullBackward(o, T_k)`: the last /
 //! first operation of the atomic unit containing `o` relative to `T_k`.
+//!
+//! # Storage
+//!
+//! A spec over `n` transactions has `n²` slots, but real specs repeat a few
+//! breakpoint lists many times (every pair of an absolute spec holds the
+//! empty list). So each distinct list is *interned* once in a CSR pool, and
+//! each ordered pair holds only a `u32` list id; id 0 is the empty list.
+//! The lengths, the ids and the pool sit behind one copy-on-write [`Arc`]:
+//!
+//! * memory is about `4·n²` bytes plus the distinct lists;
+//! * [`Clone`] is a reference-count bump, so every scheduler, shard core
+//!   and recovery pass that keeps its own copy shares one table;
+//! * a setter on a shared spec copies the table once (copy-on-write), then
+//!   interns without allocating per pair;
+//! * [`AtomicitySpec::breakpoints`] is two indexed loads behind the `Arc`
+//!   (the pair's id, then the list's span in the pool).
+//!
+//! A list a setter overwrites stays in the pool, so the pool holds every
+//! distinct list the spec ever held; specs are built once and then read.
 
 use crate::error::{Error, Result};
 use crate::ids::{OpId, TxnId};
 use crate::txn::TxnSet;
+use std::fmt;
 use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 /// The relative atomicity specification for a whole transaction set: one
 /// breakpoint set per *ordered* pair of distinct transactions.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Equality compares the breakpoint lists pair by pair, so two specs built
+/// in different orders are equal whenever they say the same thing.
+#[derive(Clone)]
 pub struct AtomicitySpec {
+    inner: Arc<Table>,
+}
+
+/// The shared storage behind an [`AtomicitySpec`].
+#[derive(Clone)]
+struct Table {
     /// Lengths of the transactions, indexed by `TxnId`.
     lens: Vec<u32>,
-    /// `breaks[i * n + j]` = breakpoints of `Atomicity(T_i, T_j)`,
-    /// strictly increasing, each in `1..lens[i]`. Diagonal entries unused.
-    breaks: Vec<Vec<u32>>,
+    /// `ids[i * n + j]` = pool id of the breakpoints of
+    /// `Atomicity(T_i, T_j)`. Diagonal entries are 0 and unused.
+    ids: Vec<u32>,
+    pool: Pool,
+}
+
+/// Interned breakpoint lists in CSR form: list `k` is
+/// `data[starts[k]..starts[k + 1]]`. Id 0 is the empty list and is never
+/// entered in the hash index, so an all-zero id table is the absolute spec.
+#[derive(Clone)]
+struct Pool {
+    starts: Vec<u32>,
+    data: Vec<u32>,
+    /// Open-addressing hash index over the ids `1..`, linear probing,
+    /// `NO_ID` for a free bucket. Its length is 0 or a power of two kept
+    /// at least twice the number of ids it holds.
+    index: Vec<u32>,
+}
+
+const EMPTY: u32 = 0;
+const NO_ID: u32 = u32::MAX;
+
+impl Pool {
+    fn new() -> Self {
+        Pool {
+            starts: vec![0, 0],
+            data: Vec::new(),
+            index: Vec::new(),
+        }
+    }
+
+    fn list(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        &self.data[self.starts[id] as usize..self.starts[id + 1] as usize]
+    }
+
+    /// Cheap multiplicative hash in the style of FxHash. SipHash would
+    /// dominate the cost of building a spec; the keys are short validated
+    /// breakpoint lists, and a crafted collision costs probe steps, never
+    /// a wrong id.
+    fn hash(list: &[u32]) -> u64 {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut h = (list.len() as u64).wrapping_mul(K);
+        for &b in list {
+            h = (h.rotate_left(5) ^ u64::from(b)).wrapping_mul(K);
+        }
+        h ^ (h >> 29)
+    }
+
+    /// The id of `list`, adding it to the pool if it is new.
+    fn intern(&mut self, list: &[u32]) -> u32 {
+        if list.is_empty() {
+            return EMPTY;
+        }
+        let count = self.starts.len() - 1;
+        if 2 * count >= self.index.len() {
+            self.grow_index();
+        }
+        let mask = self.index.len() - 1;
+        let mut bucket = Self::hash(list) as usize & mask;
+        loop {
+            match self.index[bucket] {
+                NO_ID => break,
+                id if self.list(id) == list => return id,
+                _ => bucket = (bucket + 1) & mask,
+            }
+        }
+        assert!(
+            count < NO_ID as usize,
+            "fewer than 2^32 - 1 distinct breakpoint lists"
+        );
+        let id = count as u32;
+        self.data.extend_from_slice(list);
+        let end = u32::try_from(self.data.len()).expect("breakpoint pool under 2^32 entries");
+        self.starts.push(end);
+        self.index[bucket] = id;
+        id
+    }
+
+    fn grow_index(&mut self) {
+        let len = (2 * self.index.len()).max(16);
+        self.index.clear();
+        self.index.resize(len, NO_ID);
+        let mask = len - 1;
+        for id in 1..(self.starts.len() - 1) as u32 {
+            let mut bucket = Self::hash(self.list(id)) as usize & mask;
+            while self.index[bucket] != NO_ID {
+                bucket = (bucket + 1) & mask;
+            }
+            self.index[bucket] = id;
+        }
+    }
+}
+
+impl Table {
+    fn slot(&self, i: TxnId, j: TxnId) -> usize {
+        debug_assert_ne!(i, j, "Atomicity(T_i, T_i) is undefined");
+        i.index() * self.lens.len() + j.index()
+    }
+
+    fn list(&self, slot: usize) -> &[u32] {
+        self.pool.list(self.ids[slot])
+    }
 }
 
 impl AtomicitySpec {
@@ -39,8 +169,11 @@ impl AtomicitySpec {
     pub fn absolute(txns: &TxnSet) -> Self {
         let n = txns.len();
         AtomicitySpec {
-            lens: txns.txns().iter().map(|t| t.len() as u32).collect(),
-            breaks: vec![Vec::new(); n * n],
+            inner: Arc::new(Table {
+                lens: txns.txns().iter().map(|t| t.len() as u32).collect(),
+                ids: vec![EMPTY; n * n],
+                pool: Pool::new(),
+            }),
         }
     }
 
@@ -49,13 +182,13 @@ impl AtomicitySpec {
     /// interleaved" compatibility within a set).
     pub fn free(txns: &TxnSet) -> Self {
         let mut spec = Self::absolute(txns);
+        let mut all = Vec::new();
         for i in txns.txn_ids() {
-            for j in txns.txn_ids() {
-                if i != j {
-                    let all: Vec<u32> = (1..spec.lens[i.index()]).collect();
-                    let slot = spec.slot(i, j);
-                    spec.breaks[slot] = all;
-                }
+            all.clear();
+            all.extend(1..spec.txn_len(i));
+            for j in txns.txn_ids().filter(|&j| j != i) {
+                spec.set_breakpoints(i, j, &all)
+                    .expect("1..len(T_i) is a valid breakpoint set");
             }
         }
         spec
@@ -63,17 +196,12 @@ impl AtomicitySpec {
 
     /// Number of transactions covered.
     pub fn txn_count(&self) -> usize {
-        self.lens.len()
+        self.inner.lens.len()
     }
 
     /// Length of transaction `t` as recorded by the spec.
     pub fn txn_len(&self, t: TxnId) -> u32 {
-        self.lens[t.index()]
-    }
-
-    fn slot(&self, i: TxnId, j: TxnId) -> usize {
-        debug_assert_ne!(i, j, "Atomicity(T_i, T_i) is undefined");
-        i.index() * self.lens.len() + j.index()
+        self.inner.lens[t.index()]
     }
 
     /// Sets the breakpoints of `Atomicity(T_i, T_j)`.
@@ -81,10 +209,11 @@ impl AtomicitySpec {
     /// `breakpoints` must be strictly increasing with every value in
     /// `1..len(T_i)`.
     pub fn set_breakpoints(&mut self, i: TxnId, j: TxnId, breakpoints: &[u32]) -> Result<()> {
-        if i.index() >= self.lens.len() {
+        let n = self.txn_count();
+        if i.index() >= n {
             return Err(Error::UnknownTxn(i));
         }
-        if j.index() >= self.lens.len() {
+        if j.index() >= n {
             return Err(Error::UnknownTxn(j));
         }
         if i == j {
@@ -92,7 +221,7 @@ impl AtomicitySpec {
                 "Atomicity({i}, {i}) is undefined: a transaction has no atomicity relative to itself"
             )));
         }
-        let len = self.lens[i.index()];
+        let len = self.txn_len(i);
         for w in breakpoints.windows(2) {
             if w[0] >= w[1] {
                 return Err(Error::BadSpec(format!(
@@ -107,25 +236,26 @@ impl AtomicitySpec {
                 )));
             }
         }
-        let slot = self.slot(i, j);
-        self.breaks[slot] = breakpoints.to_vec();
+        let table = Arc::make_mut(&mut self.inner);
+        let slot = table.slot(i, j);
+        table.ids[slot] = table.pool.intern(breakpoints);
         Ok(())
     }
 
     /// Sets `Atomicity(T_i, T_j)` from unit sizes, e.g. `[2, 2]` for a
     /// 4-operation transaction split into two 2-operation units.
     pub fn set_unit_sizes(&mut self, i: TxnId, j: TxnId, sizes: &[u32]) -> Result<()> {
-        if i.index() >= self.lens.len() {
+        if i.index() >= self.txn_count() {
             return Err(Error::UnknownTxn(i));
         }
         if sizes.contains(&0) {
             return Err(Error::Empty("atomic unit".into()));
         }
         let total: u32 = sizes.iter().sum();
-        if total != self.lens[i.index()] {
+        if total != self.txn_len(i) {
             return Err(Error::BadSpec(format!(
                 "unit sizes {sizes:?} sum to {total}, but {i} has {} operations",
-                self.lens[i.index()]
+                self.txn_len(i)
             )));
         }
         let mut breakpoints = Vec::with_capacity(sizes.len().saturating_sub(1));
@@ -197,18 +327,19 @@ impl AtomicitySpec {
 
     /// The breakpoints of `Atomicity(T_i, T_j)`.
     pub fn breakpoints(&self, i: TxnId, j: TxnId) -> &[u32] {
-        &self.breaks[self.slot(i, j)]
+        let table = &*self.inner;
+        table.list(table.slot(i, j))
     }
 
     /// Number of atomic units of `T_i` relative to `T_j`.
     pub fn unit_count(&self, i: TxnId, j: TxnId) -> usize {
-        self.breaks[self.slot(i, j)].len() + 1
+        self.breakpoints(i, j).len() + 1
     }
 
     /// The index (0-based) of the atomic unit of `T_i` relative to
     /// `observer` that contains operation index `op_index`.
     pub fn unit_of_index(&self, i: TxnId, observer: TxnId, op_index: u32) -> usize {
-        let b = &self.breaks[self.slot(i, observer)];
+        let b = self.breakpoints(i, observer);
         // Number of breakpoints <= op_index.
         b.partition_point(|&bp| bp <= op_index)
     }
@@ -222,10 +353,10 @@ impl AtomicitySpec {
     /// Inclusive range of operation indices spanned by `unit` of
     /// `Atomicity(T_i, observer)`.
     pub fn unit_bounds(&self, i: TxnId, observer: TxnId, unit: usize) -> RangeInclusive<u32> {
-        let b = &self.breaks[self.slot(i, observer)];
+        let b = self.breakpoints(i, observer);
         let first = if unit == 0 { 0 } else { b[unit - 1] };
         let last = if unit == b.len() {
-            self.lens[i.index()] - 1
+            self.txn_len(i) - 1
         } else {
             b[unit] - 1
         };
@@ -251,7 +382,7 @@ impl AtomicitySpec {
     /// `true` if every pair uses a single atomic unit — the traditional
     /// absolute-atomicity model.
     pub fn is_absolute(&self) -> bool {
-        self.breaks.iter().all(Vec::is_empty)
+        self.inner.ids.iter().all(|&id| id == EMPTY)
     }
 
     /// Renders `Atomicity(T_i, T_j)` in the paper's boxed-units style using
@@ -269,6 +400,72 @@ impl AtomicitySpec {
             parts.push(txns.display_op(OpId::new(i, idx as u32)));
         }
         parts.join(" ")
+    }
+
+    /// The spec of the sub-universe that keeps transactions `keep` (new id
+    /// `k` is original `keep[k]`), each truncated to `lens[k]` operations.
+    /// Breakpoints at or past a truncated length are dropped.
+    ///
+    /// The pool is shared by value and pair ids are copied, so only a list
+    /// that truncation actually shortens is interned anew.
+    pub(crate) fn restrict(&self, keep: &[TxnId], lens: &[u32]) -> AtomicitySpec {
+        let src = &*self.inner;
+        let n = src.lens.len();
+        let k = keep.len();
+        let mut pool = src.pool.clone();
+        let mut ids = vec![EMPTY; k * k];
+        for (new_i, (&old_i, &len)) in keep.iter().zip(lens).enumerate() {
+            let truncated = len < src.lens[old_i.index()];
+            let row = &src.ids[old_i.index() * n..][..n];
+            for (new_j, &old_j) in keep.iter().enumerate() {
+                if new_i == new_j {
+                    continue;
+                }
+                let mut id = row[old_j.index()];
+                if truncated {
+                    let list = src.pool.list(id);
+                    let kept = list.partition_point(|&b| b < len);
+                    if kept < list.len() {
+                        id = pool.intern(&list[..kept]);
+                    }
+                }
+                ids[new_i * k + new_j] = id;
+            }
+        }
+        AtomicitySpec {
+            inner: Arc::new(Table {
+                lens: lens.to_vec(),
+                ids,
+                pool,
+            }),
+        }
+    }
+}
+
+impl PartialEq for AtomicitySpec {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.inner, &*other.inner);
+        Arc::ptr_eq(&self.inner, &other.inner)
+            || (a.lens == b.lens && (0..a.ids.len()).all(|slot| a.list(slot) == b.list(slot)))
+    }
+}
+
+impl Eq for AtomicitySpec {}
+
+impl fmt::Debug for AtomicitySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Lists<'a>(&'a Table);
+        impl fmt::Debug for Lists<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list()
+                    .entries((0..self.0.ids.len()).map(|slot| self.0.list(slot)))
+                    .finish()
+            }
+        }
+        f.debug_struct("AtomicitySpec")
+            .field("lens", &self.inner.lens)
+            .field("breaks", &Lists(&self.inner))
+            .finish()
     }
 }
 

@@ -67,15 +67,15 @@ pub fn random_txns(cfg: &RandomConfig, seed: u64) -> TxnSet {
 pub fn random_spec(txns: &TxnSet, breakpoint_prob: f64, seed: u64) -> AtomicitySpec {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut spec = AtomicitySpec::absolute(txns);
+    let mut breaks = Vec::new();
     for i in txns.txn_ids() {
         for j in txns.txn_ids() {
             if i == j {
                 continue;
             }
             let len = txns.txn(i).len() as u32;
-            let breaks: Vec<u32> = (1..len)
-                .filter(|_| rng.random_bool(breakpoint_prob))
-                .collect();
+            breaks.clear();
+            breaks.extend((1..len).filter(|_| rng.random_bool(breakpoint_prob)));
             spec.set_breakpoints(i, j, &breaks)
                 .expect("valid breakpoints");
         }
@@ -173,6 +173,56 @@ mod tests {
         assert!(random_spec(&t, 0.0, 3).is_absolute());
         let free = random_spec(&t, 1.0, 3);
         assert_eq!(free, AtomicitySpec::free(&t));
+    }
+
+    /// `random_spec` as it was first written, collecting a fresh list per
+    /// pair. Every seeded workload depends on the reused-buffer version
+    /// drawing from the RNG in exactly this order.
+    fn random_spec_collecting(txns: &TxnSet, breakpoint_prob: f64, seed: u64) -> AtomicitySpec {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut spec = AtomicitySpec::absolute(txns);
+        for i in txns.txn_ids() {
+            for j in txns.txn_ids() {
+                if i == j {
+                    continue;
+                }
+                let len = txns.txn(i).len() as u32;
+                let breaks: Vec<u32> = (1..len)
+                    .filter(|_| rng.random_bool(breakpoint_prob))
+                    .collect();
+                spec.set_breakpoints(i, j, &breaks)
+                    .expect("valid breakpoints");
+            }
+        }
+        spec
+    }
+
+    #[test]
+    fn random_spec_matches_the_collecting_formulation() {
+        for (txns, ops_per_txn) in [(2, (1, 1)), (5, (1, 6)), (24, (2, 2)), (40, (1, 8))] {
+            let cfg = RandomConfig {
+                txns,
+                ops_per_txn,
+                ..Default::default()
+            };
+            for seed in [0, 1, 7, 0xC0FFEE] {
+                let t = random_txns(&cfg, seed);
+                for p in [0.0, 0.1, 0.4, 0.5, 0.9, 1.0] {
+                    let got = random_spec(&t, p, seed ^ 0x5EED);
+                    let want = random_spec_collecting(&t, p, seed ^ 0x5EED);
+                    for i in t.txn_ids() {
+                        for j in t.txn_ids().filter(|&j| j != i) {
+                            assert_eq!(
+                                got.breakpoints(i, j),
+                                want.breakpoints(i, j),
+                                "txns {txns}, seed {seed}, p {p}, pair ({i}, {j})"
+                            );
+                        }
+                    }
+                    assert_eq!(got, want);
+                }
+            }
+        }
     }
 
     #[test]
